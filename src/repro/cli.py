@@ -39,6 +39,8 @@ import sys
 
 import numpy as np
 
+from .perf.measured import DocumentError, load_json, write_json
+
 __all__ = ["main"]
 
 
@@ -192,6 +194,12 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_violations(label: str, violations) -> None:
+    print(f"\n{label}: {len(violations)} VIOLATION(S)")
+    for v in violations:
+        print(f"  {v}")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
@@ -224,6 +232,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 2
     else:
         algorithms = ALGORITHMS
+    baseline = None
+    if args.baseline and not args.update_baseline:
+        baseline = load_json(args.baseline)  # before the sweep: fail fast
 
     doc = rbench.run_bench(
         profile,
@@ -247,31 +258,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 + "  ".join(f"{key}={stats[key]}" for key in sorted(stats))
             )
     if args.out:
-        rbench.write_json(doc, args.out)
+        write_json(doc, args.out)
         print(f"wrote {args.out}")
-    if args.baseline:
-        if args.update_baseline:
-            rbench.write_json(doc, args.baseline)
-            print(f"wrote baseline {args.baseline}")
-            return 0
-        try:
-            baseline = rbench.load_json(args.baseline)
-        except FileNotFoundError:
-            print(f"baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
+    if args.baseline and args.update_baseline:
+        write_json(doc, args.baseline)
+        print(f"wrote baseline {args.baseline}")
+    if baseline is not None:
         violations = rbench.check_regression(doc, baseline, gate=args.gate)
         if violations:
-            print(f"\nbench gate: {len(violations)} VIOLATION(S)")
-            for v in violations:
-                print(f"  {v}")
+            _print_violations("bench gate", violations)
             return 1
         print(f"\nbench gate: PASS (gate {args.gate:.0%}, baseline {args.baseline})")
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import profile as oprof
 
     cfg = oprof.ProfileConfig(
@@ -285,43 +286,30 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         backend=args.backend,
         seed=args.seed,
     )
+    baseline = None
+    if args.stage_baseline and not args.update_stage_baseline:
+        baseline = load_json(args.stage_baseline)  # before the run: fail fast
     try:
         doc = oprof.run_profile(cfg)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(oprof.format_profile(doc))
-    if args.stage_baseline:
-        from pathlib import Path
-
-        if args.update_stage_baseline:
-            baseline_doc = oprof.stage_baseline_doc(doc)
-            path = Path(args.stage_baseline)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(baseline_doc, indent=1, sort_keys=True) + "\n"
-            )
-            print(f"wrote stage baseline {args.stage_baseline}")
-        else:
-            try:
-                baseline = json.loads(Path(args.stage_baseline).read_text())
-            except FileNotFoundError:
-                print(f"stage baseline not found: {args.stage_baseline}",
-                      file=sys.stderr)
-                return 2
-            print()
-            print(oprof.format_stage_gate(doc, baseline))
-            violations = oprof.check_stage_gate(
-                doc, baseline, tolerance=args.stage_tolerance
-            )
-            if violations:
-                print(f"\nstage gate: {len(violations)} VIOLATION(S)")
-                for v in violations:
-                    print(f"  {v}")
-                return 1
-            print(f"\nstage gate: PASS (tolerance "
-                  f"{args.stage_tolerance * 100:.0f}pp, "
-                  f"baseline {args.stage_baseline})")
+    if args.stage_baseline and args.update_stage_baseline:
+        write_json(oprof.stage_baseline_doc(doc), args.stage_baseline)
+        print(f"wrote stage baseline {args.stage_baseline}")
+    if baseline is not None:
+        print()
+        print(oprof.format_stage_gate(doc, baseline))
+        violations = oprof.check_stage_gate(
+            doc, baseline, tolerance=args.stage_tolerance
+        )
+        if violations:
+            _print_violations("stage gate", violations)
+            return 1
+        print(f"\nstage gate: PASS (tolerance "
+              f"{args.stage_tolerance * 100:.0f}pp, "
+              f"baseline {args.stage_baseline})")
     overhead_doc = None
     if args.overhead:
         overhead_doc = oprof.measure_overhead(cfg, repeats=args.overhead_repeats)
@@ -329,18 +317,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(oprof.format_overhead(overhead_doc))
         violations = oprof.check_overhead_gate(overhead_doc, limit=args.gate)
         if violations:
-            print(f"\noverhead gate: {len(violations)} VIOLATION(S)")
-            for v in violations:
-                print(f"  {v}")
+            _print_violations("overhead gate", violations)
             return 1
         print(f"\noverhead gate: PASS (enabled instrumentation <= {args.gate:.0%})")
     if args.out:
         out_doc = dict(doc)
         if overhead_doc is not None:
             out_doc["overhead"] = overhead_doc
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(out_doc, indent=1, sort_keys=True) + "\n")
+        write_json(out_doc, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -389,13 +373,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     print(sbench.format_serve_bench(doc))
     out = None if args.no_out else (args.out or sbench.DEFAULT_BENCH_PATH)
     if out:
-        sbench.write_json(doc, out)
+        write_json(doc, out)
         print(f"wrote {out}")
     violations = sbench.check_serve_gate(doc, min_speedup=args.gate)
     if violations:
-        print(f"\nserve gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
+        _print_violations("serve gate", violations)
         return 1
     print(f"\nserve gate: PASS (bit-identity + >= {args.gate:.2f}x throughput)")
     return 0
@@ -406,14 +388,7 @@ def _run_proc_bench(args: argparse.Namespace, sbench) -> int:
     procs = _parse_count_list(args.procs, "--procs")
     if procs is None:
         return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = sbench.load_json(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read --baseline {args.baseline!r}: {exc}",
-                  file=sys.stderr)
-            return 2
+    baseline = load_json(args.baseline) if args.baseline else None
     cfg = sbench.ProcBenchConfig(
         model=args.model,
         algorithm=args.algorithm if args.algorithm is not None else "int8_upcast",
@@ -446,16 +421,14 @@ def _run_proc_bench(args: argparse.Namespace, sbench) -> int:
             sbench.DEFAULT_PROC_BENCH_PATH if args.update_baseline else None
         )
     if out:
-        sbench.write_json(doc, out)
+        write_json(doc, out)
         print(f"wrote {out}")
     violations = sbench.check_proc_gate(
         doc, baseline=baseline, min_speedup=args.gate,
         speedup_tolerance=args.speedup_tolerance,
     )
     if violations:
-        print(f"\nproc gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
+        _print_violations("proc gate", violations)
         return 1
     parts = ["bit-identity"]
     if cfg.wisdom:
@@ -469,9 +442,6 @@ def _run_proc_bench(args: argparse.Namespace, sbench) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from .tuning import bench as tbench
 
     cfg = tbench.TuneBenchConfig(
@@ -484,6 +454,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         backend=args.backend,
         family=args.family,
     )
+    baseline = None
+    if args.baseline and not args.update_baseline:
+        baseline = load_json(args.baseline)  # before the sweep: fail fast
     try:
         doc = tbench.run_tune_bench(cfg, wisdom=args.wisdom)
     except ValueError as exc:
@@ -493,28 +466,15 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.wisdom:
         print(f"wisdom: {args.wisdom}")
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_json(doc, args.out)
         print(f"wrote {args.out}")
-    baseline = None
-    if args.baseline:
-        if args.update_baseline:
-            path = Path(args.baseline)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-            print(f"wrote baseline {args.baseline}")
-            return 0
-        try:
-            baseline = json.loads(Path(args.baseline).read_text())
-        except FileNotFoundError:
-            print(f"baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
+    if args.baseline and args.update_baseline:
+        write_json(doc, args.baseline)
+        print(f"wrote baseline {args.baseline}")
+        return 0
     violations = tbench.check_tuning_gate(doc, baseline=baseline, gate=args.gate)
     if violations:
-        print(f"\ntune gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
+        _print_violations("tune gate", violations)
         return 1
     against = f", baseline {args.baseline}" if baseline is not None else ""
     print(f"\ntune gate: PASS (deterministic + never-regress{against})")
@@ -543,6 +503,9 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         speed=args.speed,
         seed=args.seed,
     )
+    baseline = None
+    if args.baseline and not args.update_baseline:
+        baseline = load_json(args.baseline)  # before the sweep: fail fast
     try:
         doc = loadgen.run_load_bench(cfg, wisdom=args.wisdom)
     except ValueError as exc:
@@ -551,19 +514,12 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
     print(loadgen.format_load_bench(doc))
     out = None if args.no_out else (args.out or loadgen.DEFAULT_BENCH_PATH)
     if out:
-        loadgen.write_json(doc, out)
+        write_json(doc, out)
         print(f"wrote {out}")
-    baseline = None
-    if args.baseline:
-        if args.update_baseline:
-            loadgen.write_json(doc, args.baseline)
-            print(f"wrote baseline {args.baseline}")
-            return 0
-        try:
-            baseline = loadgen.load_json(args.baseline)
-        except FileNotFoundError:
-            print(f"baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
+    if args.baseline and args.update_baseline:
+        write_json(doc, args.baseline)
+        print(f"wrote baseline {args.baseline}")
+        return 0
     violations = loadgen.check_load_gate(
         doc,
         baseline=baseline,
@@ -571,9 +527,7 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         shed_tolerance=args.gate_shed,
     )
     if violations:
-        print(f"\nload gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
+        _print_violations("load gate", violations)
         return 1
     against = f", baseline {args.baseline}" if baseline is not None else ""
     print(f"\nload gate: PASS (bit-identity + backpressure{against})")
@@ -658,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     pbn.add_argument("--algorithms", default=None,
                      help="comma-separated subset (default: all six)")
     pbn.add_argument("--repeats", type=int, default=None,
-                     help="timed repeats per measurement (best-of)")
+                     help="timed rounds per measurement, at least 3 (median "
+                          "of interleaved rounds)")
     pbn.add_argument("--m", type=int, default=None,
                      help="Winograd output tile size (default 4)")
     pbn.add_argument("--seed", type=int, default=2021, help="tensor generator seed")
@@ -706,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also measure instrumentation overhead (none vs "
                           "disabled vs enabled tracer) and gate it")
     ppr.add_argument("--overhead-repeats", type=int, default=5,
-                     help="interleaved best-of repeats for --overhead (default 5)")
+                     help="timed rounds for --overhead, at least 3 (median of "
+                          "interleaved rounds, default 5)")
     ppr.add_argument("--gate", type=float, default=0.05,
                      help="allowed enabled-tracer overhead fraction (default 0.05)")
     ppr.add_argument("--backend", default="numpy", choices=_backend_choices(),
@@ -860,8 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
     ptn.add_argument("--hw", type=int, default=8,
                      help="input spatial size (default 8)")
     ptn.add_argument("--batch", type=int, default=2, help="batch size (default 2)")
-    ptn.add_argument("--repeats", type=int, default=2,
-                     help="timed repeats per candidate (best-of, default 2)")
+    ptn.add_argument("--repeats", type=int, default=3,
+                     help="timed rounds per candidate, at least 3 (median of "
+                          "interleaved rounds, default 3)")
     ptn.add_argument("--seed", type=int, default=2021,
                      help="measurement tensor seed (default 2021)")
     ptn.add_argument("--backend", default="numpy", choices=_backend_choices(),
@@ -890,7 +847,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except DocumentError as exc:  # a missing or malformed baseline document
+        print(f"cannot read {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

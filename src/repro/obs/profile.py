@@ -14,21 +14,21 @@ Two built-in self-checks keep the numbers honest:
   summed stage seconds must agree with the session's independent
   per-step timings (:func:`run_profile` reports the gap;
   ``tests/obs/test_profile.py`` gates it at 2%).
-* **Overhead** -- :func:`measure_overhead` interleaves best-of timing
-  over three modes (no tracer / tracer disabled / tracer enabled) on
-  bitwise-identical sessions and :func:`check_overhead_gate` fails if
-  enabled instrumentation costs more than 5% (CI runs this in the bench
-  smoke job).
+* **Overhead** -- :func:`measure_overhead` times three modes (no
+  tracer / tracer disabled / tracer enabled) on bitwise-identical
+  sessions in interleaved rounds, and :func:`check_overhead_gate` fails
+  if enabled instrumentation's median costs more than 5% (CI runs this
+  in the bench smoke job).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..perf.measured import MIN_ROUNDS, config_mismatch, time_interleaved
 from .tracer import STAGES, StageTracer
 
 __all__ = [
@@ -188,14 +188,13 @@ def measure_overhead(config: ProfileConfig, repeats: int = 5) -> Dict[str, Any]:
     """Measured instrumentation cost: none vs disabled vs enabled tracer.
 
     The three sessions share one prepared model (identical weights and
-    engine objects), run the same input, and are timed best-of
-    interleaved -- round-robin over the modes each repeat, so ambient
+    engine objects), run the same input, and are timed in interleaved
+    rounds (:func:`repro.perf.measured.time_interleaved`), so ambient
     host noise hits all three equally instead of biasing whichever ran
-    last.  Outputs are checked bitwise identical across modes first:
-    instrumentation must never change results.
+    last; the overheads are ratios of medians.  Outputs are checked
+    bitwise identical across modes first: instrumentation must never
+    change results.
     """
-    import time
-
     tracer = StageTracer()
     plain, x, model = _build_session(config, tracer=None)
     disabled_tracer = StageTracer(enabled=False)
@@ -207,20 +206,19 @@ def measure_overhead(config: ProfileConfig, repeats: int = 5) -> Dict[str, Any]:
         np.array_equal(outs["none"], outs["disabled"])
         and np.array_equal(outs["none"], outs["enabled"])
     )
-    best = {mode: math.inf for mode in sessions}
-    for _ in range(max(1, repeats)):
-        for mode, sess in sessions.items():
-            t0 = time.perf_counter()
-            sess.run(x)
-            best[mode] = min(best[mode], time.perf_counter() - t0)
-    base = best["none"]
+    timings = time_interleaved(
+        {mode: (lambda s=sess: s.run(x)) for mode, sess in sessions.items()},
+        repeats,
+    )
+    wall = {mode: t.median_s for mode, t in timings.items()}
     return {
         "config": asdict(config),
         "repeats": repeats,
-        "wall_s": dict(best),
+        "wall_s": wall,
+        "wall_iqr_s": {mode: t.iqr_s for mode, t in timings.items()},
         "overhead": {
-            "disabled": best["disabled"] / base - 1.0,
-            "enabled": best["enabled"] / base - 1.0,
+            "disabled": wall["disabled"] / wall["none"] - 1.0,
+            "enabled": wall["enabled"] / wall["none"] - 1.0,
         },
         "outputs_identical": identical,
     }
@@ -263,7 +261,7 @@ def format_overhead(doc: Dict[str, Any]) -> str:
         [
             f"Instrumentation overhead -- model={cfg['model']} "
             f"algorithm={cfg['algorithm']} batch={cfg['batch']} hw={cfg['hw']} "
-            f"best-of-{doc['repeats']} interleaved",
+            f"median of {max(doc['repeats'], MIN_ROUNDS)} interleaved rounds",
             f"  no tracer:       {wall['none'] * 1e3:8.3f}ms",
             f"  tracer disabled: {wall['disabled'] * 1e3:8.3f}ms "
             f"({over['disabled'] * 100:+.2f}%)",
@@ -302,12 +300,6 @@ def stage_baseline_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-#: ``config`` keys that must match for a stage baseline to gate a run
-#: (seed/runs affect noise, not the breakdown shape; ``backend`` *is*
-#: compared -- the threaded backend legitimately shifts the GEMM share).
-_STAGE_COMPAT_KEYS = ("model", "algorithm", "batch", "hw", "width", "m", "backend")
-
-
 def check_stage_gate(
     current: Dict[str, Any], baseline: Dict[str, Any], tolerance: float = 0.10
 ) -> List[str]:
@@ -322,17 +314,17 @@ def check_stage_gate(
     overhead must be re-baselined deliberately.  Returns human-readable
     violations; empty means PASS.
     """
-    cur_cfg = current.get("config", {})
-    base_cfg = baseline.get("config", {})
-    mismatched = [
-        k for k in _STAGE_COMPAT_KEYS if cur_cfg.get(k) != base_cfg.get(k)
-    ]
+    # seed/runs affect noise, not the breakdown shape; ``backend`` *is*
+    # compared -- the threaded backend legitimately shifts the GEMM share.
+    mismatched = config_mismatch(
+        current.get("config", {}),
+        baseline.get("config", {}),
+        ("model", "algorithm", "batch", "hw", "width", "m", "backend"),
+    )
     if mismatched:
         return [
             "stage baseline incompatible with this run (config fields differ: "
-            + ", ".join(
-                f"{k}: {base_cfg.get(k)!r} -> {cur_cfg.get(k)!r}" for k in mismatched
-            )
+            + ", ".join(mismatched)
             + "); regenerate it with --update-stage-baseline"
         ]
     violations: List[str] = []

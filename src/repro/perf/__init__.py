@@ -9,7 +9,7 @@ because the substrate is NumPy, not hand-tuned AVX-512 VNNI assembly
 from .cache_sim import CacheStats, SetAssociativeCache, gemm_access_trace, simulate_gemm_cache
 from .breakdown import StageBreakdown, breakdown, figure10_breakdowns
 from .machine import CASCADE_LAKE_8C, MachineModel, StageCost
-from .measured import Measurement, compare, measure
+from .measured import Timing, time_interleaved
 from .report import format_plan, layer_report
 from .plans import (
     ALL_PLANS,
@@ -34,9 +34,8 @@ __all__ = [
     "CASCADE_LAKE_8C",
     "MachineModel",
     "StageCost",
-    "Measurement",
-    "compare",
-    "measure",
+    "Timing",
+    "time_interleaved",
     "format_plan",
     "layer_report",
     "ALL_PLANS",

@@ -6,7 +6,9 @@ at 1, spatial and channel extents capped per profile -- the full
 batch-64 layers are ASIC-scale work a single interpreter thread cannot
 turn around in benchmark time).  Three families of numbers come out:
 
-* per-layer, per-algorithm wall-clock (best-of-``repeats``),
+* per-layer, per-algorithm wall-clock (median and quartiles of the
+  algorithms of a layer timed in interleaved rounds,
+  :func:`repro.perf.measured.time_interleaved`),
 * speedup of each algorithm vs the vectorized ``fp32_direct`` path on
   the same layer (the paper's baseline normalization, Figure 8), and
 * the vectorized-engine vs loop-reference ratio for the Winograd INT8
@@ -21,16 +23,14 @@ ratio metrics against a checked-in baseline and fails on a >25% drop.
 
 from __future__ import annotations
 
-import json
 import math
 import platform
-import time
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..perf.measured import MIN_ROUNDS, config_mismatch, time_interleaved
 from ..workloads import BREAKDOWN_LAYERS, TABLE2_LAYERS, LayerConfig, layer_by_name
 from .cache import PlanCache
 from .engine import ExecutionEngine
@@ -49,8 +49,6 @@ __all__ = [
     "run_model_bench",
     "check_regression",
     "format_bench",
-    "load_json",
-    "write_json",
 ]
 
 #: JSON document version; bump on breaking schema changes.
@@ -98,6 +96,9 @@ class BenchProfile:
     The caps are part of the emitted metadata: a baseline only gates a
     run with identical scaling.  ``model_cases`` adds whole-network
     compiled-vs-eager measurements on the scaled Table 2 model families.
+    ``repeats`` (per layer: the algorithms and their loop references,
+    interleaved) and ``model_repeats`` count timed rounds, floored at
+    :data:`repro.perf.measured.MIN_ROUNDS`.
     """
 
     name: str
@@ -108,7 +109,6 @@ class BenchProfile:
     repeats: int = 3
     m: int = 4
     reference: bool = True
-    reference_repeats: int = 2
     model_cases: tuple = ()
     model_repeats: int = 3
 
@@ -139,9 +139,9 @@ QUICK_PROFILE = BenchProfile(
     "quick",
     tuple(BREAKDOWN_LAYERS),
     hw_cap=16,
-    repeats=2,
+    repeats=5,
     model_cases=_QUICK_MODEL_CASES,
-    model_repeats=2,
+    model_repeats=5,
 )
 PROFILES: Dict[str, BenchProfile] = {"full": FULL_PROFILE, "quick": QUICK_PROFILE}
 
@@ -155,15 +155,6 @@ def scale_layer(layer: LayerConfig, profile: BenchProfile) -> LayerConfig:
         c=min(layer.c, profile.chan_cap),
         k=min(layer.k, profile.chan_cap),
     )
-
-
-def _best_of(fn, repeats: int) -> float:
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _geomean(values: Iterable[float]) -> Optional[float]:
@@ -229,8 +220,10 @@ def run_model_bench(
         )
         y_compiled = session.run(x)  # warm: builds plans + geometry scratch
         y_eager = model(x)  # warm eager (engines already prepared)
-        eager_s = _best_of(lambda: model(x), profile.model_repeats)
-        compiled_s = _best_of(lambda: session.run(x), profile.model_repeats)
+        t = time_interleaved(
+            {"eager": lambda: model(x), "compiled": lambda: session.run(x)},
+            profile.model_repeats,
+        )
         entries.append(
             {
                 "name": case.case_name,
@@ -240,9 +233,11 @@ def run_model_bench(
                 "hw": case.hw,
                 "width": case.width,
                 "m": case.m,
-                "eager_s": eager_s,
-                "compiled_s": compiled_s,
-                "compiled_speedup": eager_s / compiled_s,
+                "eager_s": t["eager"].median_s,
+                "eager_iqr_s": t["eager"].iqr_s,
+                "compiled_s": t["compiled"].median_s,
+                "compiled_iqr_s": t["compiled"].iqr_s,
+                "compiled_speedup": t["eager"].median_s / t["compiled"].median_s,
                 "exact": bool(np.array_equal(y_eager, y_compiled)),
                 "cache_stats": session.cache_stats(),
             }
@@ -286,34 +281,47 @@ def run_bench(
         layer_cfg = scale_layer(layer_by_name(name), profile)
         x = layer_cfg.input_tensor(rng, dtype=np.float64)
         w = layer_cfg.filter_tensor(rng, dtype=np.float64)
-        walls: Dict[str, float] = {}
-        runtime_layers = {}
-        for algo in algorithms:
-            layer = engine.layer(w, algo, m=profile.m, padding=layer_cfg.padding)
-            layer(x)  # warm call: builds plan state and geometry scratch
-            walls[algo] = _best_of(lambda layer=layer: layer(x), profile.repeats)
-            runtime_layers[algo] = layer
+        runtime_layers = {
+            algo: engine.layer(w, algo, m=profile.m, padding=layer_cfg.padding)
+            for algo in algorithms
+        }
+        refs = (
+            [algo for algo in REFERENCE_ALGORITHMS if algo in runtime_layers]
+            if profile.reference
+            else []
+        )
+        # One interleaved group per layer: both sides of every ratio --
+        # algorithm vs fp32_direct, loop reference vs vectorized -- are
+        # sampled in the same rounds.  The warm-up call of each engine
+        # builds its plan state and geometry scratch.
+        candidates = {
+            algo: (lambda f=layer: f(x)) for algo, layer in runtime_layers.items()
+        }
+        for algo in refs:
+            ref = runtime_layers[algo].reference
+            candidates[f"{algo}/reference"] = lambda ref=ref: ref.reference_forward(x)
+        walls = time_interleaved(candidates, profile.repeats)
         base = walls.get("fp32_direct")
         algo_entries = {
             algo: {
-                "wall_s": walls[algo],
-                "speedup_vs_fp32_direct": (base / walls[algo]) if base else None,
+                "wall_s": walls[algo].median_s,
+                "wall_iqr_s": walls[algo].iqr_s,
+                "speedup_vs_fp32_direct": (
+                    base.median_s / walls[algo].median_s if base else None
+                ),
             }
             for algo in algorithms
         }
-        ref_entries: Dict[str, dict] = {}
-        if profile.reference:
-            for algo in REFERENCE_ALGORITHMS:
-                if algo not in runtime_layers:
-                    continue
-                ref = runtime_layers[algo].reference
-                wall_ref = _best_of(
-                    lambda ref=ref: ref.reference_forward(x), profile.reference_repeats
-                )
-                ref_entries[algo] = {
-                    "wall_s": wall_ref,
-                    "vectorized_speedup": wall_ref / walls[algo],
-                }
+        ref_entries = {
+            algo: {
+                "wall_s": walls[f"{algo}/reference"].median_s,
+                "wall_iqr_s": walls[f"{algo}/reference"].iqr_s,
+                "vectorized_speedup": (
+                    walls[f"{algo}/reference"].median_s / walls[algo].median_s
+                ),
+            }
+            for algo in refs
+        }
         layer_entries.append(
             {
                 "name": layer_cfg.name,
@@ -380,10 +388,6 @@ def _summarize(
     return summary
 
 
-#: Keys of ``profile`` that must match for a baseline comparison to be valid.
-_COMPAT_KEYS = ("name", "layers", "batch_cap", "hw_cap", "chan_cap", "m", "model_cases")
-
-
 def check_regression(current: dict, baseline: dict, gate: float = 0.25) -> List[str]:
     """Ratio-metric regression gate: current vs checked-in baseline.
 
@@ -394,18 +398,17 @@ def check_regression(current: dict, baseline: dict, gate: float = 0.25) -> List[
     human-readable violations; empty means PASS.
     """
     violations: List[str] = []
-    cur_prof, base_prof = current.get("profile", {}), baseline.get("profile", {})
-    mismatched = [
-        k
-        for k in _COMPAT_KEYS
-        if _norm(cur_prof.get(k)) != _norm(base_prof.get(k))
-    ]
+    # Profile fields that change what is measured; repeats and the
+    # reference switch only change how well.
+    mismatched = config_mismatch(
+        current.get("profile", {}),
+        baseline.get("profile", {}),
+        ("name", "layers", "batch_cap", "hw_cap", "chan_cap", "m", "model_cases"),
+    )
     if mismatched:
         return [
             "baseline incompatible with this run (profile fields differ: "
-            + ", ".join(
-                f"{k}: {base_prof.get(k)!r} -> {cur_prof.get(k)!r}" for k in mismatched
-            )
+            + ", ".join(mismatched)
             + "); regenerate it with --update-baseline"
         ]
     floor = 1.0 - gate
@@ -471,11 +474,6 @@ def check_regression(current: dict, baseline: dict, gate: float = 0.25) -> List[
     return violations
 
 
-def _norm(value):
-    # JSON round-trips tuples as lists; compare them structurally.
-    return list(value) if isinstance(value, (list, tuple)) else value
-
-
 def format_bench(doc: dict) -> str:
     """Human-readable table for one benchmark document."""
     algorithms = list(doc["summary"]["speedup_vs_fp32_direct"])
@@ -484,7 +482,7 @@ def format_bench(doc: dict) -> str:
     lines.append(
         f"Runtime benchmark -- profile={prof['name']} m={prof['m']} "
         f"caps(batch={prof['batch_cap']}, hw={prof['hw_cap']}, chan={prof['chan_cap']}) "
-        f"repeats={prof['repeats']}"
+        f"median of {max(prof['repeats'], MIN_ROUNDS)} rounds"
     )
     header = f"{'layer':14s} {'b':>2s} {'c':>4s} {'k':>4s} {'hw':>3s}"
     for algo in algorithms:
@@ -536,10 +534,3 @@ def format_bench(doc: dict) -> str:
             )
     return "\n".join(lines)
 
-
-def write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -23,7 +23,6 @@ the throughput ratio and the bit-identity flag are host-independent.
 
 from __future__ import annotations
 
-import json
 import platform
 import threading
 import time
@@ -33,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..perf.measured import config_mismatch
 from ..runtime.bench import ModelCase, build_case_model
 from ..runtime.session import InferenceSession
 from .server import Server
@@ -48,8 +48,6 @@ __all__ = [
     "check_proc_gate",
     "format_serve_bench",
     "format_proc_bench",
-    "load_json",
-    "write_json",
 ]
 
 #: Default persistence target: the closed-loop serve perf trajectory
@@ -460,14 +458,6 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
     }
 
 
-#: Baseline-comparison keys that must match for a ratio gate to be
-#: meaningful (same model, geometry, and sweep).
-_PROC_CONFIG_KEYS = (
-    "model", "algorithm", "width", "hw", "m", "request_batch",
-    "requests_per_thread", "client_threads", "procs", "backend", "wisdom",
-)
-
-
 def check_proc_gate(
     doc: dict,
     baseline: Optional[dict] = None,
@@ -507,16 +497,22 @@ def check_proc_gate(
             f"{speedup:.2f}x the 1-proc throughput (gate: >= {min_speedup:.2f}x)"
         )
     if baseline is not None:
-        for key in _PROC_CONFIG_KEYS:
-            ours, theirs = doc["config"].get(key), baseline["config"].get(key)
-            if isinstance(ours, list) or isinstance(theirs, list):
-                ours, theirs = list(ours or ()), list(theirs or ())
-            if ours != theirs:
-                violations.append(
-                    f"config mismatch vs baseline: {key} = {ours!r} "
-                    f"(baseline {theirs!r}); ratio gate not comparable"
-                )
-                return violations
+        # The ratio gate is meaningful only for the same model, geometry
+        # and sweep.
+        mismatched = config_mismatch(
+            doc["config"],
+            baseline["config"],
+            ("model", "algorithm", "width", "hw", "m", "request_batch",
+             "requests_per_thread", "client_threads", "procs", "backend",
+             "wisdom"),
+        )
+        if mismatched:
+            violations.append(
+                "config mismatch vs baseline ("
+                + ", ".join(mismatched)
+                + "); ratio gate not comparable"
+            )
+            return violations
         base_speedup = baseline["summary"].get("proc_speedup")
         if speedup is not None and base_speedup:
             floor = base_speedup * speedup_tolerance
@@ -563,12 +559,3 @@ def format_proc_bench(doc: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def write_json(doc: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -53,16 +53,15 @@ as ``benchmarks/BENCH_serve_quick.json`` -- the serve perf trajectory
 from __future__ import annotations
 
 import hashlib
-import json
 import platform
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.metrics import Histogram, nearest_rank
+from ..perf.measured import config_mismatch
 from ..runtime.bench import ModelCase, build_case_model
 from ..runtime.session import InferenceSession
 from .batching import ServerOverloaded
@@ -85,12 +84,10 @@ __all__ = [
     "check_load_gate",
     "event_payload",
     "format_load_bench",
-    "load_json",
     "output_digest",
     "replay",
     "run_load_bench",
     "slo_report",
-    "write_json",
 ]
 
 #: JSON document version; bump on breaking schema changes.
@@ -510,13 +507,8 @@ def run_load_bench(cfg: LoadBenchConfig = LoadBenchConfig(), wisdom=None) -> dic
 
 
 # ---------------------------------------------------------------------------
-# gating, formatting, persistence
+# gating and formatting
 # ---------------------------------------------------------------------------
-
-
-def _jsonify(value):
-    """Normalize tuples/np scalars the way a JSON round-trip would."""
-    return json.loads(json.dumps(value, default=float))
 
 
 def check_load_gate(
@@ -565,10 +557,12 @@ def check_load_gate(
                 )
     if baseline is None:
         return violations
-    if _jsonify(doc.get("config")) != _jsonify(baseline.get("config")):
+    mismatched = config_mismatch(doc.get("config", {}), baseline.get("config", {}))
+    if mismatched:
         return violations + [
-            "baseline incompatible with this run (config differs); regenerate "
-            "it with --update-baseline"
+            "baseline incompatible with this run (config fields differ: "
+            + ", ".join(mismatched)
+            + "); regenerate it with --update-baseline"
         ]
     base_by_name = {e["name"]: e for e in baseline.get("scenarios", [])}
     for entry in doc["scenarios"]:
@@ -633,12 +627,3 @@ def format_load_bench(doc: dict) -> str:
     lines.append(f"schedule digest: {s['schedule_digest'][:16]}...")
     return "\n".join(lines)
 
-
-def write_json(doc: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())

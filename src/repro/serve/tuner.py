@@ -8,9 +8,9 @@ live queue depth from the obs registry's ``repro_queue_depth`` gauge
 un-tuned conv geometry from the deployed sessions, run the
 :class:`~repro.tuning.selector.AlgorithmSelector`'s seeded measurement,
 and persist the choice to the shared wisdom file.  Idleness is
-re-probed between candidate measurements (the selector's ``abort``
-hook), so a request arriving mid-measurement stops the tuning step
-before the next candidate runs and nothing half-measured is persisted.
+re-probed before every candidate call (the selector's ``abort`` hook),
+so a request arriving mid-measurement stops the tuning step before the
+next call runs and nothing half-measured is persisted.
 
 Once a choice lands, the tuner (still under the idle gate) calls each
 session's :meth:`~repro.runtime.session.InferenceSession

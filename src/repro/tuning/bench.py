@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..perf.measured import config_mismatch
 from .selector import AlgorithmSelector, model_geometries
 from .wisdom import WisdomFile
 
@@ -57,7 +58,7 @@ class TuneBenchConfig:
     width: int = 8
     hw: int = 8
     batch: int = 2
-    repeats: int = 2
+    repeats: int = 3
     seed: int = 2021
     backend: str = "numpy"
     family: str = "quantized"
@@ -153,12 +154,6 @@ def run_tune_bench(
     return doc
 
 
-#: Config fields that must match for a baseline comparison to be valid.
-_COMPAT_KEYS = (
-    "model", "width", "hw", "batch", "repeats", "seed", "backend", "family",
-)
-
-
 def check_tuning_gate(
     current: dict,
     baseline: Optional[dict] = None,
@@ -194,14 +189,11 @@ def check_tuning_gate(
         )
     if baseline is None:
         return violations
-    cur_cfg, base_cfg = current.get("config", {}), baseline.get("config", {})
-    mismatched = [k for k in _COMPAT_KEYS if cur_cfg.get(k) != base_cfg.get(k)]
+    mismatched = config_mismatch(current.get("config", {}), baseline.get("config", {}))
     if mismatched:
         violations.append(
             "baseline incompatible with this run (config fields differ: "
-            + ", ".join(
-                f"{k}: {base_cfg.get(k)!r} -> {cur_cfg.get(k)!r}" for k in mismatched
-            )
+            + ", ".join(mismatched)
             + "); regenerate it with --update-baseline"
         )
         return violations

@@ -37,13 +37,13 @@ proc bench gates that their applied selections are identical).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..perf import CASCADE_LAKE_8C, predict_layer_times
+from ..perf.measured import time_interleaved
 from ..winograd import quant_error_model, winograd_algorithm
 from ..workloads import LayerConfig
 from .wisdom import DEFAULT_BACKEND, WisdomFile
@@ -202,7 +202,7 @@ class SelectionResult:
     backend: str
     algorithm: str
     m: int
-    #: Best-of measured seconds per candidate label (empty for a purely
+    #: Median measured seconds per candidate label (empty for a purely
     #: static result).
     measured: Dict[str, float] = field(default_factory=dict)
     #: The analytic planner's choice, as a label.
@@ -395,11 +395,12 @@ class AlgorithmSelector:
         abort: Optional[Callable[[], bool]] = None,
         family: str = "quantized",
     ) -> Optional[SelectionResult]:
-        """Seeded best-of measurement of every admitted candidate.
+        """Seeded measurement of every admitted candidate, timed in
+        interleaved rounds (:func:`repro.perf.measured.time_interleaved`).
 
-        ``abort`` is polled between candidates (the background tuner
-        passes a queue-idleness probe); returns None when aborted so
-        nothing half-measured is ever persisted.
+        ``abort`` is polled before every candidate call (the background
+        tuner passes a queue-idleness probe); returns None when aborted
+        so nothing half-measured is ever persisted.
         """
         static = self.static_choice(geom, family=family)
         candidates = candidate_algorithms(geom, self.min_snr_db, family=family)
@@ -415,22 +416,24 @@ class AlgorithmSelector:
         filters = (rng.standard_normal(
             (geom.k, geom.c, geom.r, geom.r)) * std).astype(np.float64)
         engine = self._measure_engine()
-        measured: Dict[str, float] = {}
+        layers = {}
         for algorithm, m in candidates:
-            if abort is not None and abort():
-                return None
             kwargs = (
                 {"stride": geom.stride}
                 if algorithm in ("int8_direct", "fp32_direct")
                 else {}
             )
-            layer = engine.layer(filters, algorithm, m=max(m, 2),
-                                 padding=geom.padding, **kwargs)
-            layer(x)  # warm: plan build + scratch allocation
-            best = min(
-                _timed(layer, x) for _ in range(self.repeats)
+            layers[_label(algorithm, m)] = engine.layer(
+                filters, algorithm, m=max(m, 2), padding=geom.padding, **kwargs
             )
-            measured[_label(algorithm, m)] = best
+        timings = time_interleaved(
+            {label: (lambda f=layer: f(x)) for label, layer in layers.items()},
+            self.repeats,
+            abort=abort,
+        )
+        if timings is None:
+            return None
+        measured = {label: t.median_s for label, t in timings.items()}
         best_label = min(measured, key=measured.get)
         algorithm, m = _parse_label(best_label)
         return SelectionResult(
@@ -484,9 +487,3 @@ class AlgorithmSelector:
             measured={k: float(v) for k, v in entry.get("measured", {}).items()},
             static=str(entry.get("static", "")), source="wisdom",
         )
-
-
-def _timed(layer, x) -> float:
-    t0 = time.perf_counter()
-    layer(x)
-    return time.perf_counter() - t0

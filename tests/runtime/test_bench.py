@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from repro.perf.measured import load_json, write_json
 from repro.runtime.bench import (
     FULL_PROFILE,
     QUICK_PROFILE,
@@ -11,10 +12,8 @@ from repro.runtime.bench import (
     ModelCase,
     check_regression,
     format_bench,
-    load_json,
     run_bench,
     scale_layer,
-    write_json,
 )
 from repro.workloads import layer_by_name
 
@@ -24,7 +23,6 @@ TINY_PROFILE = BenchProfile(
     hw_cap=8,
     chan_cap=8,
     repeats=1,
-    reference_repeats=1,
 )
 
 

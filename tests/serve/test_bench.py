@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.perf.measured import load_json, write_json
 from repro.serve import loadgen
 from repro.serve.bench import (
     SCHEMA_VERSION,
@@ -21,10 +22,8 @@ from repro.serve.bench import (
     check_serve_gate,
     format_proc_bench,
     format_serve_bench,
-    load_json,
     run_proc_bench,
     run_serve_bench,
-    write_json,
 )
 from repro.serve.loadgen import LoadBenchConfig, event_payload, output_digest, replay
 from repro.serve.server import Server

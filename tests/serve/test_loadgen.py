@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.perf.measured import load_json, write_json
 from repro.serve import loadgen
 from repro.serve.loadgen import (
     LoadBenchConfig,
@@ -388,8 +389,8 @@ class TestLoadBenchDocument:
 
     def test_round_trip_and_self_baseline(self, doc, tmp_path):
         path = tmp_path / "load.json"
-        loadgen.write_json(doc, path)
-        loaded = loadgen.load_json(path)
+        write_json(doc, path)
+        loaded = load_json(path)
         assert loaded["schema"] == loadgen.SCHEMA_VERSION
         assert check_load_gate(loaded, baseline=loaded) == []
         # And the in-memory doc gates cleanly against its own round-trip
@@ -406,23 +407,23 @@ class TestLoadBenchDocument:
 
     def test_gate_flags_schedule_drift(self, doc, tmp_path):
         path = tmp_path / "base.json"
-        loadgen.write_json(doc, path)
-        base = loadgen.load_json(path)
+        write_json(doc, path)
+        base = load_json(path)
         base["scenarios"][0]["schedule_digest"] = "0" * 64
         violations = check_load_gate(doc, baseline=base)
         assert any("schedule digest" in v for v in violations)
 
     def test_gate_flags_p95_regression(self, doc, tmp_path):
-        loadgen.write_json(doc, tmp_path / "base.json")
-        base = loadgen.load_json(tmp_path / "base.json")
+        write_json(doc, tmp_path / "base.json")
+        base = load_json(tmp_path / "base.json")
         for e in base["scenarios"]:
             e["latency_ms"]["p95_ms"] = 1e-6
         violations = check_load_gate(doc, baseline=base, p95_factor=1.0)
         assert any("p95" in v for v in violations)
 
     def test_gate_flags_incompatible_config(self, doc, tmp_path):
-        loadgen.write_json(doc, tmp_path / "base.json")
-        base = loadgen.load_json(tmp_path / "base.json")
+        write_json(doc, tmp_path / "base.json")
+        base = load_json(tmp_path / "base.json")
         base["config"]["seed"] = 1
         violations = check_load_gate(doc, baseline=base)
         assert any("incompatible" in v for v in violations)

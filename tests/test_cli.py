@@ -156,6 +156,21 @@ class TestHappyPaths:
                      "--no-reference", "--no-models",
                      "--baseline", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--quick", "--baseline"],
+        ["tune", "--baseline"],
+        ["load-bench", "--no-out", "--baseline"],
+        ["profile", "--stage-baseline"],
+    ])
+    def test_malformed_baseline_exits_2_before_running(self, argv, tmp_path,
+                                                        capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{x")
+        assert main(argv + [str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any measurement ran
+        assert f"cannot read {bad}" in captured.err
+
     def test_bench_rejects_unknown_algorithm(self, capsys):
         assert main(["bench", "--quick", "--algorithms", "magic"]) == 2
 
@@ -178,7 +193,7 @@ class TestHappyPaths:
         assert doc["summary"]["exact"] is True
 
     def test_profile_tiny_run(self, tmp_path, capsys):
-        out_file = tmp_path / "profile.json"
+        out_file = tmp_path / "new" / "dir" / "profile.json"
         assert main(["profile", "--model", "vgg", "--algorithm", "lowino",
                      "--hw", "8", "--width", "8", "--m", "2",
                      "--runs", "1", "--out", str(out_file)]) == 0
@@ -322,7 +337,7 @@ class TestHappyPaths:
                      "--baseline", str(tmp_path / "nope.json")]) == 2
 
     def test_bench_writes_json(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
+        out_file = tmp_path / "new" / "dir" / "bench.json"
         assert main(["bench", "--quick", "--layers", "ResNet-50_c",
                      "--repeats", "1", "--algorithms", "fp32_direct,lowino",
                      "--no-reference", "--no-models", "--out", str(out_file)]) == 0
